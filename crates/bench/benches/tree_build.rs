@@ -22,7 +22,6 @@ fn bench_tree(c: &mut Criterion) {
     group.sample_size(10);
     group.throughput(Throughput::Elements(d.num_rows() as u64));
     group.bench_function("fit_original", |b| b.iter(|| builder.fit(&d)));
-    group.bench_function("fit_presorted", |b| b.iter(|| builder.fit_presorted(&d)));
     group.bench_function("fit_transformed", |b| b.iter(|| builder.fit(&d2)));
 
     let mined = builder.fit(&d2);

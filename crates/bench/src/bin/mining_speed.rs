@@ -1,10 +1,9 @@
 //! `mining_speed` — the committed mining benchmark trajectory.
 //!
-//! Times the recursive ([`TreeBuilder::fit`]) and presorted
-//! ([`TreeBuilder::fit_presorted`]) miners at several dataset shapes
-//! and thread counts, verifies every variant produces a bit-identical
-//! tree, and emits a machine-readable trajectory report (its own
-//! schema, versioned independently of `BenchReport` — see
+//! Times the miner ([`TreeBuilder::fit`]) at several dataset shapes
+//! and thread counts, verifies every thread count produces a
+//! bit-identical tree, and emits a machine-readable trajectory report
+//! (its own schema, versioned independently of `BenchReport` — see
 //! `BENCHMARKS.md` §Trajectory). `scripts/bench_trajectory.sh` wraps
 //! this binary and `scripts/bench_compare.py` diffs two reports.
 //!
@@ -32,7 +31,9 @@ const TRAJECTORY_SCHEMA_VERSION: u64 = 1;
 /// One timed (builder, thread-count) measurement within a case.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 struct Timing {
-    /// `"recursive"` (`fit`) or `"presorted"` (`fit_presorted`).
+    /// Mining cases: `"presorted"`, the algorithm `fit` runs, under the
+    /// name earlier reports gave it so their timings stay comparable.
+    /// Encode cases: the encode path.
     builder: String,
     /// Worker threads requested via `TreeBuilder::with_threads`.
     threads: u64,
@@ -48,12 +49,13 @@ struct Case {
     rows: u64,
     attrs: u64,
     timings: Vec<Timing>,
-    /// serial-ms / best-parallel-ms for the recursive builder.
+    /// Mining cases: the same value as `speedup_presorted`, kept so
+    /// the report layout stays unchanged.
     speedup_recursive: f64,
-    /// serial-ms / best-parallel-ms for the presorted builder.
+    /// Mining cases: serial-ms / best-parallel-ms for `fit`.
     speedup_presorted: f64,
-    /// Every variant's tree was bit-identical to the serial recursive
-    /// baseline (the run aborts if not, so a written report is `true`).
+    /// Every thread count's tree was bit-identical to the serial one
+    /// (the run aborts if not, so a written report is `true`).
     trees_equal: bool,
 }
 
@@ -87,41 +89,32 @@ fn time_fit(
 
 fn run_case(name: &str, d: &Dataset, thread_counts: &[usize], reps: usize) -> Case {
     let params = TreeParams::default();
-    let mut timings = Vec::new();
+    let fit = |threads: usize| TreeBuilder::new(params).with_threads(Some(threads)).fit(d);
+    let timing = |threads: usize, millis: f64| Timing {
+        builder: "presorted".into(),
+        threads: threads as u64,
+        millis,
+    };
+
+    let (baseline, serial_ms) = time_fit(|| fit(1), reps);
+    let mut timings = vec![timing(1, serial_ms)];
     let mut equal = true;
-
-    let (baseline, serial_rec_ms) =
-        time_fit(|| TreeBuilder::new(params).with_threads(Some(1)).fit(d), reps);
-    timings.push(Timing { builder: "recursive".into(), threads: 1, millis: serial_rec_ms });
-
-    let (serial_pre, serial_pre_ms) =
-        time_fit(|| TreeBuilder::new(params).with_threads(Some(1)).fit_presorted(d), reps);
-    equal &= trees_equal(&baseline, &serial_pre);
-    timings.push(Timing { builder: "presorted".into(), threads: 1, millis: serial_pre_ms });
-
-    let mut best_par_rec = f64::INFINITY;
-    let mut best_par_pre = f64::INFINITY;
+    let mut best_par = f64::INFINITY;
     for &t in thread_counts.iter().filter(|&&t| t > 1) {
-        let (tree, ms) = time_fit(|| TreeBuilder::new(params).with_threads(Some(t)).fit(d), reps);
+        let (tree, ms) = time_fit(|| fit(t), reps);
         equal &= trees_equal(&baseline, &tree);
-        best_par_rec = best_par_rec.min(ms);
-        timings.push(Timing { builder: "recursive".into(), threads: t as u64, millis: ms });
-
-        let (tree, ms) =
-            time_fit(|| TreeBuilder::new(params).with_threads(Some(t)).fit_presorted(d), reps);
-        equal &= trees_equal(&baseline, &tree);
-        best_par_pre = best_par_pre.min(ms);
-        timings.push(Timing { builder: "presorted".into(), threads: t as u64, millis: ms });
+        best_par = best_par.min(ms);
+        timings.push(timing(t, ms));
     }
 
-    let speedup = |serial: f64, par: f64| if par.is_finite() { serial / par } else { 1.0 };
+    let speedup = if best_par.is_finite() { serial_ms / best_par } else { 1.0 };
     Case {
         dataset: name.to_string(),
         rows: d.num_rows() as u64,
         attrs: d.num_attrs() as u64,
         timings,
-        speedup_recursive: speedup(serial_rec_ms, best_par_rec),
-        speedup_presorted: speedup(serial_pre_ms, best_par_pre),
+        speedup_recursive: speedup,
+        speedup_presorted: speedup,
         trees_equal: equal,
     }
 }
@@ -276,20 +269,14 @@ fn main() {
     let mut cases = Vec::new();
     for (name, d) in &cases_in {
         let case = run_case(name, d, &thread_counts, reps);
-        assert!(
-            case.trees_equal,
-            "{name}: a parallel or presorted variant diverged from the serial tree"
-        );
+        assert!(case.trees_equal, "{name}: a parallel run diverged from the serial tree");
         for t in &case.timings {
             println!(
                 "  {:<28} {:>9} threads={} {:>9.2} ms",
                 case.dataset, t.builder, t.threads, t.millis
             );
         }
-        println!(
-            "  {:<28} speedup recursive {:.2}x, presorted {:.2}x",
-            case.dataset, case.speedup_recursive, case.speedup_presorted
-        );
+        println!("  {:<28} speedup {:.2}x", case.dataset, case.speedup_presorted);
         cases.push(case);
     }
 

@@ -104,7 +104,7 @@ pub enum Counter {
     VerifyRetries,
     /// Error-severity findings raised by the key/dataset audit.
     AuditViolations,
-    /// Tuple visits performed by the tree builders' split-search scans
+    /// Tuple visits performed by the tree builder's split-search scans
     /// (one per `(row, attribute)` pair examined — the miner's true
     /// workload, robust against timer resolution on fast hardware).
     SplitScanRows,
@@ -112,8 +112,7 @@ pub enum Counter {
     /// (a high-water mark maintained with [`record_max`], not a sum).
     MiningThreads,
     /// Buffers served from a reuse pool instead of a fresh allocation
-    /// (partition row vectors in the recursive builder, per-level scan
-    /// arenas in the presorted builder).
+    /// (the tree builder's per-level scan arenas).
     PoolReuseHits,
     /// HTTP requests fully parsed by the `ppdt-serve` daemon
     /// (including inline `/healthz` and `/metrics` hits; malformed
@@ -277,7 +276,7 @@ pub fn counter(counter: Counter) -> u64 {
 
 /// Resolves the worker-thread count for a parallel stage. This is the
 /// single thread-count policy for the whole workspace — the parallel
-/// encoder, the risk Monte Carlo, the tree miners, and the attack
+/// encoder, the risk Monte Carlo, the tree miner, and the attack
 /// fan-outs all route through it, so one knob controls them all:
 ///
 /// 1. `requested` — an explicit caller choice (e.g. the CLI's

@@ -269,32 +269,6 @@ impl PiecewiseTransform {
         Ok(ty)
     }
 
-    /// Data-aware decode of a split threshold (Theorem 2's workhorse):
-    /// the mined node `A' ≤ y` partitions the active domain into
-    /// `S = {v : f(v) ≤ y}` and its complement. For any threshold a
-    /// tree builder can produce, `S` and its complement are separated
-    /// intervals in *original* space (one entirely below the other;
-    /// under a globally anti-monotone transform `S` is the upper one,
-    /// and the caller swaps the node's children). The decoded
-    /// `≤`-threshold is the largest value of the lower interval
-    /// (`midpoint = false`, matching `ThresholdPolicy::DataValue`) or
-    /// the midpoint across the separation (`midpoint = true`, matching
-    /// `ThresholdPolicy::Midpoint`).
-    pub fn decode_split(&self, y: f64, midpoint: bool) -> Result<f64, PpdtError> {
-        decode_le_split(&self.transformed_domain_map()?, y, midpoint)
-    }
-
-    /// Backwards-compatible alias: midpoint split decode.
-    pub fn decode_midpoint(&self, y: f64) -> Result<f64, PpdtError> {
-        self.decode_split(y, true)
-    }
-
-    /// The largest original-domain value strictly below `x`, if any.
-    pub fn domain_predecessor(&self, x: f64) -> Option<f64> {
-        let i = self.orig_domain.partition_point(|&v| v < x);
-        i.checked_sub(1).map(|j| self.orig_domain[j])
-    }
-
     /// Validates the invariants: pieces cover ascending input ranges;
     /// output intervals are disjoint and ordered by the global
     /// direction; non-monochromatic (monotone) pieces move in the
@@ -313,10 +287,19 @@ impl PiecewiseTransform {
     }
 }
 
-/// Decodes a `≤ y` split against a precomputed
-/// [`PiecewiseTransform::transformed_domain_map`]. See
-/// [`PiecewiseTransform::decode_split`] for the semantics. An empty
-/// map yields [`PpdtError::EmptyInput`].
+/// Data-aware decode of a split threshold (Theorem 2's workhorse)
+/// against a precomputed
+/// [`PiecewiseTransform::transformed_domain_map`]: the mined node
+/// `A' ≤ y` partitions the active domain into `S = {v : f(v) ≤ y}` and
+/// its complement. For any threshold a tree builder can produce, `S`
+/// and its complement are separated intervals in *original* space (one
+/// entirely below the other; under a globally anti-monotone transform
+/// `S` is the upper one, and the caller swaps the node's children).
+/// The decoded `≤`-threshold is the largest value of the lower interval
+/// (`midpoint = false`, matching `ThresholdPolicy::DataValue`) or the
+/// midpoint across the separation (`midpoint = true`, matching
+/// `ThresholdPolicy::Midpoint`). An empty map yields
+/// [`PpdtError::EmptyInput`].
 pub fn decode_le_split(map: &[(f64, f64)], y: f64, midpoint: bool) -> Result<f64, PpdtError> {
     if map.is_empty() {
         return Err(PpdtError::EmptyInput { what: "transformed domain map".into() });
@@ -454,7 +437,7 @@ mod tests {
         // smallest transformed value in piece 2 (28 -> 31.0): y=25.5
         // must decode to the original midpoint (15+27)/2 = 21.
         let y = 0.5 * (enc(&tr, 15.0) + enc(&tr, 28.0));
-        assert_eq!(tr.decode_midpoint(y).unwrap(), 21.0);
+        assert_eq!(decode_le_split(&tr.transformed_domain_map().unwrap(), y, true).unwrap(), 21.0);
     }
 
     #[test]

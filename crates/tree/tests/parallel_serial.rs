@@ -1,6 +1,6 @@
 //! Cross-validation: parallel split search must be bit-identical to
-//! serial — same nodes, same thresholds, same scores — for both
-//! builders, every criterion, and every threshold policy, because each
+//! serial — same nodes, same thresholds, same scores — for every
+//! criterion and every threshold policy, because each
 //! worker scans a contiguous ascending attribute range and the serial
 //! reduction re-applies the attr-major first-wins tie-break with the
 //! same strict `<`. Mirror of `crates/transform/tests/parallel_serial.rs`.
@@ -18,25 +18,12 @@ const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
 fn assert_thread_count_invariant(d: &Dataset, params: TreeParams, label: &str) {
     let serial = TreeBuilder::new(params).with_threads(Some(1)).fit(d);
-    let serial_pre = TreeBuilder::new(params).with_threads(Some(1)).fit_presorted(d);
-    assert!(
-        trees_equal(&serial, &serial_pre),
-        "{label}: presorted differs from recursive at 1 thread: {:?}",
-        tree_diff(&serial, &serial_pre, 0.0)
-    );
     for threads in THREAD_COUNTS {
-        let b = TreeBuilder::new(params).with_threads(Some(threads));
-        let fit = b.fit(d);
+        let fit = TreeBuilder::new(params).with_threads(Some(threads)).fit(d);
         assert!(
             trees_equal(&serial, &fit),
             "{label}: fit at {threads} threads differs: {:?}",
             tree_diff(&serial, &fit, 0.0)
-        );
-        let pre = b.fit_presorted(d);
-        assert!(
-            trees_equal(&serial, &pre),
-            "{label}: fit_presorted at {threads} threads differs: {:?}",
-            tree_diff(&serial, &pre, 0.0)
         );
     }
 }
@@ -107,14 +94,9 @@ fn ppdt_threads_env_override_does_not_change_the_tree() {
     let baseline = TreeBuilder::default().with_threads(Some(1)).fit(&d);
     std::env::set_var("PPDT_THREADS", "3");
     let under_env = TreeBuilder::default().fit(&d);
-    let under_env_pre = TreeBuilder::default().fit_presorted(&d);
     std::env::remove_var("PPDT_THREADS");
     let default = TreeBuilder::default().fit(&d);
-    for (t, label) in [
-        (&under_env, "PPDT_THREADS=3 fit"),
-        (&under_env_pre, "PPDT_THREADS=3 presorted"),
-        (&default, "default fit"),
-    ] {
+    for (t, label) in [(&under_env, "PPDT_THREADS=3 fit"), (&default, "default fit")] {
         assert!(trees_equal(&baseline, t), "{label}: {:?}", tree_diff(&baseline, t, 0.0));
     }
 }

@@ -17,6 +17,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 echo "== cargo test"
 cargo test --workspace -q
 
+echo "== benchmark unit tests (perfbench oracle + failure accounting)"
+cargo test --manifest-path perfbench/Cargo.toml -q
+
 echo "== fault injection"
 cargo test -p ppdt-transform --test fault_injection -q
 
