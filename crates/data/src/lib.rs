@@ -41,8 +41,8 @@ pub use csv::{
     parse_csv, parse_csv_opts, read_csv, read_csv_from, read_csv_opts, to_csv, write_csv, CsvError,
     CsvOptions, SkipReport, SkippedRow,
 };
-pub use dataset::{Dataset, DatasetBuilder, DistinctGroup, SortedColumn};
+pub use dataset::{Dataset, DatasetBuilder, DistinctGroup, DomainLabels, SortedColumn};
 pub use mono::{MonoAnalysis, MonoPiece};
 pub use schema::{AttrId, ClassId, Schema};
 pub use stats::AttrStats;
-pub use value::{cmp_f64, distinct_sorted, sort_f64, sorted_order_by_value, Value};
+pub use value::{cmp_f64, sorted_order_by_value, Value};

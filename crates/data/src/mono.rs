@@ -7,11 +7,11 @@ use crate::schema::ClassId;
 /// A maximal monochromatic piece: a run of consecutive *distinct*
 /// values, all monochromatic with the same label.
 ///
-/// Piece extents are expressed as ranges over the distinct-value
-/// groups of a [`SortedColumn`], matching the paper's convention of
-/// measuring piece length in distinct values (Figure 8 reports, e.g.,
-/// 9 pieces of average length 163 covering 74.2% of attribute 1's
-/// 1978 distinct values).
+/// Piece extents are expressed as ranges over the distinct values of
+/// an attribute (the groups of a [`SortedColumn`]), matching the
+/// paper's convention of measuring piece length in distinct values
+/// (Figure 8 reports, e.g., 9 pieces of average length 163 covering
+/// 74.2% of attribute 1's 1978 distinct values).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MonoPiece {
     /// First distinct-value group (inclusive).
@@ -60,7 +60,19 @@ pub struct MonoAnalysis {
 }
 
 impl MonoAnalysis {
-    /// Analyzes the monochromatic structure of a sorted column.
+    /// Analyzes the monochromatic structure of a sorted column: a thin
+    /// wrapper over [`MonoAnalysis::from_labels`] with each group's
+    /// [`monochromatic_label`](crate::DistinctGroup::monochromatic_label).
+    pub fn analyze(sc: &SortedColumn, min_piece_len: usize) -> Self {
+        let labels: Vec<Option<ClassId>> =
+            sc.groups.iter().map(|g| g.monochromatic_label()).collect();
+        Self::from_labels(&labels, min_piece_len)
+    }
+
+    /// Analyzes the monochromatic structure of an attribute from its
+    /// per-distinct-value labels (`Some(label)` iff the value is
+    /// monochromatic, in ascending value order — what
+    /// [`DomainLabels::labels`](crate::DomainLabels::labels) holds).
     ///
     /// `min_piece_len` is the minimum width threshold of Section 5.2
     /// ("in practice, ChooseMaxMP may impose a minimum width threshold,
@@ -68,11 +80,8 @@ impl MonoAnalysis {
     /// values shorter than the threshold are *not* reported as pieces
     /// (their values remain eligible as ordinary non-monochromatic
     /// material for the caller).
-    pub fn analyze(sc: &SortedColumn, min_piece_len: usize) -> Self {
+    pub fn from_labels(group_labels: &[Option<ClassId>], min_piece_len: usize) -> Self {
         assert!(min_piece_len >= 1, "min_piece_len must be at least 1");
-        let group_labels: Vec<Option<ClassId>> =
-            sc.groups.iter().map(|g| g.monochromatic_label()).collect();
-
         let mut pieces = Vec::new();
         let mut i = 0usize;
         while i < group_labels.len() {
@@ -89,7 +98,7 @@ impl MonoAnalysis {
                 }
             }
         }
-        MonoAnalysis { group_labels, pieces, min_piece_len }
+        MonoAnalysis { group_labels: group_labels.to_vec(), pieces, min_piece_len }
     }
 
     /// Number of monochromatic pieces (of at least the minimum width).
@@ -221,6 +230,18 @@ mod tests {
             .map(|(g, _)| g.value)
             .collect();
         assert_eq!(non_mono, vec![29.0]);
+    }
+
+    #[test]
+    fn from_labels_over_domain_labels_matches_analyze() {
+        let d = paper_example();
+        for min_piece_len in 1..=4 {
+            let from_memo =
+                MonoAnalysis::from_labels(d.domain_labels(AttrId(0)).labels(), min_piece_len);
+            let from_sort = MonoAnalysis::analyze(&d.sorted_column(AttrId(0)), min_piece_len);
+            assert_eq!(from_memo.pieces, from_sort.pieces, "min_piece_len {min_piece_len}");
+            assert_eq!(from_memo.group_labels, from_sort.group_labels);
+        }
     }
 
     #[test]

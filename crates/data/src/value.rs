@@ -91,12 +91,6 @@ pub fn cmp_f64(a: f64, b: f64) -> Ordering {
     a.total_cmp(&b)
 }
 
-/// Sorts a slice of raw `f64` attribute values in ascending order.
-#[inline]
-pub fn sort_f64(xs: &mut [f64]) {
-    xs.sort_by(|a, b| a.total_cmp(b));
-}
-
 /// Fills `out` with the indices `0..items.len()` sorted so that
 /// `key(items[out[0]]) <= key(items[out[1]]) <= ...` under the same
 /// total order as [`Value`] (`f64::total_cmp`).
@@ -138,18 +132,6 @@ where
     Ok(())
 }
 
-/// Deduplicates a **sorted** slice of raw `f64` values into a vector of
-/// distinct values.
-pub fn distinct_sorted(xs: &[f64]) -> Vec<f64> {
-    let mut out = Vec::new();
-    for &x in xs {
-        if out.last().is_none_or(|&l: &f64| l != x) {
-            out.push(x);
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,17 +160,6 @@ mod tests {
     #[should_panic(expected = "NaN")]
     fn nan_rejected() {
         let _ = Value::new(f64::NAN);
-    }
-
-    #[test]
-    fn distinct_sorted_collapses_duplicates() {
-        let xs = [1.0, 1.0, 2.0, 2.0, 2.0, 5.0];
-        assert_eq!(distinct_sorted(&xs), vec![1.0, 2.0, 5.0]);
-    }
-
-    #[test]
-    fn distinct_sorted_empty() {
-        assert!(distinct_sorted(&[]).is_empty());
     }
 
     #[test]

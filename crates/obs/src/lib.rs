@@ -163,7 +163,8 @@ pub enum Counter {
     /// after retry) — the raw material of the per-peer health status.
     PeerUnreachable,
     /// Values pushed through the batched column paths of a compiled
-    /// plan (`encode_column`/`decode_column` cells, not rows).
+    /// plan (`encode_column`/`decode_column` cells, not rows; also the
+    /// `Encoder`'s columns and `decode_tree`'s per-node replays).
     BatchedValues,
     /// Piece lookups resolved by a compiled transform's direct-index
     /// breakpoint table (the dense, branch-free fast path).

@@ -2,16 +2,16 @@
 //! (Figure 6).
 //!
 //! Both procedures decompose an attribute's active domain into pieces;
-//! the output here is a [`PiecePlan`] — ranges over the distinct-value
-//! groups of the sorted column, each flagged as monochromatic (eligible
-//! for an arbitrary bijection) or not (restricted to a
-//! direction-consistent monotone function).
+//! the output here is a [`PiecePlan`] — ranges over the attribute's
+//! ascending distinct values ([`DomainLabels`]), each flagged as
+//! monochromatic (eligible for an arbitrary bijection) or not
+//! (restricted to a direction-consistent monotone function).
 
 use rand::seq::SliceRandom;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use ppdt_data::{ClassId, MonoAnalysis, SortedColumn};
+use ppdt_data::{ClassId, DomainLabels, MonoAnalysis};
 
 /// How an attribute's domain is decomposed into pieces.
 ///
@@ -92,10 +92,10 @@ impl PiecePlan {
 /// value exactly once. Returns an empty plan for an empty column.
 pub fn plan_pieces<R: Rng + ?Sized>(
     rng: &mut R,
-    sc: &SortedColumn,
+    domain: &DomainLabels,
     strategy: BreakpointStrategy,
 ) -> Vec<PiecePlan> {
-    let n = sc.num_distinct();
+    let n = domain.len();
     if n == 0 {
         return Vec::new();
     }
@@ -108,7 +108,7 @@ pub fn plan_pieces<R: Rng + ?Sized>(
             pieces_from_cuts(n, &cuts)
         }
         BreakpointStrategy::ChooseMaxMP { w, min_piece_len } => {
-            let ma = MonoAnalysis::analyze(sc, min_piece_len.max(1));
+            let ma = MonoAnalysis::from_labels(domain.labels(), min_piece_len.max(1));
             let mut pieces: Vec<PiecePlan> = Vec::new();
             let mut next = 0usize;
             for mp in &ma.pieces {
@@ -222,12 +222,12 @@ pub fn plan_is_partition(plan: &[PiecePlan], n: usize) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppdt_data::{AttrId, ClassId, DatasetBuilder, Schema};
+    use ppdt_data::{AttrId, ClassId, Dataset, DatasetBuilder, Schema};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     /// The paper's running example (Figures 3/4/7).
-    fn paper_column() -> SortedColumn {
+    fn paper_example() -> Dataset {
         let schema = Schema::new(["a"], ["H", "L"]);
         let mut b = DatasetBuilder::new(schema);
         let rows = [
@@ -248,48 +248,52 @@ mod tests {
         for (v, c) in rows {
             b.push_row(&[v], ClassId(c));
         }
-        b.build().sorted_column(AttrId(0))
+        b.build()
     }
 
     #[test]
     fn none_gives_single_piece() {
-        let sc = paper_column();
+        let d = paper_example();
+        let dom = d.domain_labels(AttrId(0));
         let mut rng = StdRng::seed_from_u64(1);
-        let plan = plan_pieces(&mut rng, &sc, BreakpointStrategy::None);
+        let plan = plan_pieces(&mut rng, dom, BreakpointStrategy::None);
         assert_eq!(plan.len(), 1);
-        assert!(plan_is_partition(&plan, sc.num_distinct()));
+        assert!(plan_is_partition(&plan, dom.len()));
         assert_eq!(plan[0].mono_label, None);
     }
 
     #[test]
     fn choosebp_produces_w_plus_one_pieces() {
-        let sc = paper_column();
+        let d = paper_example();
+        let dom = d.domain_labels(AttrId(0));
         let mut rng = StdRng::seed_from_u64(2);
-        let plan = plan_pieces(&mut rng, &sc, BreakpointStrategy::ChooseBP { w: 3 });
+        let plan = plan_pieces(&mut rng, dom, BreakpointStrategy::ChooseBP { w: 3 });
         assert_eq!(plan.len(), 4);
-        assert!(plan_is_partition(&plan, sc.num_distinct()));
+        assert!(plan_is_partition(&plan, dom.len()));
         assert!(plan.iter().all(|p| p.mono_label.is_none()));
     }
 
     #[test]
     fn choosebp_caps_at_available_cuts() {
-        let sc = paper_column();
+        let d = paper_example();
+        let dom = d.domain_labels(AttrId(0));
         let mut rng = StdRng::seed_from_u64(3);
         // Only 8 interior cut positions exist (9 distinct values).
-        let plan = plan_pieces(&mut rng, &sc, BreakpointStrategy::ChooseBP { w: 100 });
+        let plan = plan_pieces(&mut rng, dom, BreakpointStrategy::ChooseBP { w: 100 });
         assert_eq!(plan.len(), 9);
-        assert!(plan_is_partition(&plan, sc.num_distinct()));
+        assert!(plan_is_partition(&plan, dom.len()));
     }
 
     #[test]
     fn choosemaxmp_matches_paper_walkthrough() {
         // Section 5.2 walkthrough: pieces r1={1,2,15} (H), r2={27,28}
         // (L), r3={29} (non-mono), r4={42,43,44} (H).
-        let sc = paper_column();
+        let d = paper_example();
+        let dom = d.domain_labels(AttrId(0));
         let mut rng = StdRng::seed_from_u64(4);
         let plan =
-            plan_pieces(&mut rng, &sc, BreakpointStrategy::ChooseMaxMP { w: 0, min_piece_len: 1 });
-        assert!(plan_is_partition(&plan, sc.num_distinct()));
+            plan_pieces(&mut rng, dom, BreakpointStrategy::ChooseMaxMP { w: 0, min_piece_len: 1 });
+        assert!(plan_is_partition(&plan, dom.len()));
         let labels: Vec<Option<u16>> = plan.iter().map(|p| p.mono_label.map(|c| c.0)).collect();
         assert_eq!(labels, vec![Some(0), Some(1), None, Some(0)]);
         let lens: Vec<usize> = plan.iter().map(PiecePlan::len).collect();
@@ -298,28 +302,30 @@ mod tests {
 
     #[test]
     fn choosemaxmp_pads_with_random_cuts() {
-        let sc = paper_column();
+        let d = paper_example();
+        let dom = d.domain_labels(AttrId(0));
         let mut rng = StdRng::seed_from_u64(5);
         // min_piece_len 10 disables mono pieces entirely, forcing the
         // random-cut fallback over the whole (non-mono) domain.
         let plan =
-            plan_pieces(&mut rng, &sc, BreakpointStrategy::ChooseMaxMP { w: 4, min_piece_len: 10 });
-        assert!(plan_is_partition(&plan, sc.num_distinct()));
+            plan_pieces(&mut rng, dom, BreakpointStrategy::ChooseMaxMP { w: 4, min_piece_len: 10 });
+        assert!(plan_is_partition(&plan, dom.len()));
         assert!(plan.len() >= 4, "got {} pieces", plan.len());
         assert!(plan.iter().all(|p| p.mono_label.is_none()));
     }
 
     #[test]
     fn choosemaxmp_never_cuts_inside_mono_pieces() {
-        let sc = paper_column();
+        let d = paper_example();
+        let dom = d.domain_labels(AttrId(0));
         for seed in 0..20 {
             let mut rng = StdRng::seed_from_u64(seed);
             let plan = plan_pieces(
                 &mut rng,
-                &sc,
+                dom,
                 BreakpointStrategy::ChooseMaxMP { w: 8, min_piece_len: 1 },
             );
-            assert!(plan_is_partition(&plan, sc.num_distinct()), "seed {seed}");
+            assert!(plan_is_partition(&plan, dom.len()), "seed {seed}");
             // The three mono pieces must appear intact.
             let monos: Vec<(usize, usize)> = plan
                 .iter()
@@ -332,15 +338,15 @@ mod tests {
 
     #[test]
     fn empty_column_gives_empty_plan() {
-        let d = ppdt_data::Dataset::from_columns(Schema::generated(1, 2), vec![vec![]], vec![]);
-        let sc = d.sorted_column(AttrId(0));
+        let d = Dataset::from_columns(Schema::generated(1, 2), vec![vec![]], vec![]);
+        let dom = d.domain_labels(AttrId(0));
         let mut rng = StdRng::seed_from_u64(6);
         for strat in [
             BreakpointStrategy::None,
             BreakpointStrategy::ChooseBP { w: 3 },
             BreakpointStrategy::ChooseMaxMP { w: 3, min_piece_len: 1 },
         ] {
-            assert!(plan_pieces(&mut rng, &sc, strat).is_empty());
+            assert!(plan_pieces(&mut rng, dom, strat).is_empty());
         }
     }
 }

@@ -267,7 +267,11 @@ pub struct CompiledTransform {
 }
 
 impl CompiledTransform {
-    fn lower(tr: &PiecewiseTransform) -> CompiledTransform {
+    /// Lowers one transform without auditing it. Results match the
+    /// interpreted transform for every key, audited or not: the lookup
+    /// tables are only built over sorted arrays, where they are
+    /// index-identical to the interpreted binary search.
+    pub(crate) fn lower(tr: &PiecewiseTransform) -> CompiledTransform {
         let n = tr.pieces.len();
         let mut out = CompiledTransform {
             increasing: tr.increasing,
@@ -307,8 +311,10 @@ impl CompiledTransform {
                 }
             }
         }
-        let lo = out.input_lo.first().copied().unwrap_or(f64::NAN);
-        out.table = LookupTable::build(lo, &out.input_hi, 4, 4096);
+        if out.input_hi.windows(2).all(|w| w[0] <= w[1]) {
+            let lo = out.input_lo.first().copied().unwrap_or(f64::NAN);
+            out.table = LookupTable::build(lo, &out.input_hi, 4, 4096);
+        }
         // The pool is sorted by construction; the `total_cmp` check is
         // a cheap compile-time guard so a violated invariant degrades
         // to binary search instead of wrong lookups. Permutation maps

@@ -24,11 +24,12 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use ppdt_data::{AttrId, Dataset, SortedColumn};
+use ppdt_data::{AttrId, Dataset};
 use ppdt_error::PpdtError;
 use ppdt_tree::{tree_diff, DecisionTree, ThresholdPolicy, TreeBuilder, TreeParams};
 
 use crate::breakpoints::{plan_pieces, BreakpointStrategy, PiecePlan};
+use crate::compiled::CompiledTransform;
 use crate::family::FnFamily;
 use crate::func::MonoFunc;
 use crate::piecewise::{Piece, PieceKind, PiecewiseTransform};
@@ -312,6 +313,11 @@ impl TransformKey {
     /// whenever every attribute is globally monotone with no
     /// permutation pieces, and training-equivalent otherwise.
     ///
+    /// Each split attribute's transform is lowered to a
+    /// [`CompiledTransform`] on first use, and every node encodes its
+    /// rows' values in one batch — bit-identical to encoding them one
+    /// by one through [`PiecewiseTransform::encode`].
+    ///
     /// A tampered tree — unknown attribute id, non-finite threshold,
     /// or a threshold placed so a split side is empty on replay —
     /// yields [`PpdtError::TreeIncompatible`]; a value `d` contains
@@ -352,24 +358,34 @@ impl TransformKey {
             key: &'a TransformKey,
             d: &'a Dataset,
             midpoint: bool,
+            /// Split attributes lowered on first use, by attribute.
+            lowered: Vec<Option<CompiledTransform>>,
+            /// Reused per-node buffers: the node's values, then codes.
+            xs: Vec<f64>,
+            ys: Vec<f64>,
         }
 
-        fn rec(ctx: &Ctx<'_>, n: &Node, rows: Vec<u32>) -> Result<Node, PpdtError> {
+        fn rec(ctx: &mut Ctx<'_>, n: &Node, rows: Vec<u32>) -> Result<Node, PpdtError> {
             match n {
                 Node::Leaf { .. } => Ok(n.clone()),
                 Node::Split { attr, threshold, class_counts, left, right } => {
                     ppdt_obs::add(ppdt_obs::Counter::NodesDecoded, 1);
-                    let tr = ctx.key.transform(*attr);
                     let col = ctx.d.column(*attr);
+                    ctx.xs.clear();
+                    ctx.xs.extend(rows.iter().map(|&r| col[r as usize]));
+                    ctx.ys.clear();
+                    let key = ctx.key;
+                    ctx.lowered[attr.index()]
+                        .get_or_insert_with(|| CompiledTransform::lower(key.transform(*attr)))
+                        .encode_slice(&ctx.xs, &mut ctx.ys)
+                        .map_err(|e| e.with_attr(attr.index()))?;
                     let mut rows_le = Vec::new();
                     let mut rows_gt = Vec::new();
                     let mut le_min = f64::INFINITY;
                     let mut le_max = f64::NEG_INFINITY;
                     let mut gt_min = f64::INFINITY;
                     let mut gt_max = f64::NEG_INFINITY;
-                    for &r in &rows {
-                        let x = col[r as usize];
-                        let y = tr.encode(x).map_err(|e| e.with_attr(attr.index()))?;
+                    for ((&r, &x), &y) in rows.iter().zip(&ctx.xs).zip(&ctx.ys) {
                         if y <= *threshold {
                             le_min = le_min.min(x);
                             le_max = le_max.max(x);
@@ -410,10 +426,17 @@ impl TransformKey {
             }
         }
 
-        let ctx = Ctx { key: self, d, midpoint };
+        let mut ctx = Ctx {
+            key: self,
+            d,
+            midpoint,
+            lowered: vec![None; self.transforms.len()],
+            xs: Vec::new(),
+            ys: Vec::new(),
+        };
         let rows: Vec<u32> = (0..d.num_rows() as u32).collect();
         Ok(DecisionTree {
-            root: rec(&ctx, &mined.root, rows)?,
+            root: rec(&mut ctx, &mined.root, rows)?,
             num_classes: mined.num_classes,
             criterion: mined.criterion,
         })
@@ -594,7 +617,8 @@ impl Encoder {
     /// Toggles recording on the global [`ppdt_obs`] registry (the
     /// `encode` phase timer and the `rows_encoded` counter). On by
     /// default; the deep per-draw counters (`draw_retries`,
-    /// `pieces_drawn`, `verify_retries`) are always recorded.
+    /// `pieces_drawn`, `verify_retries`) and the batched kernel's
+    /// (`batched_values`, `piece_lookup_*`) are always recorded.
     pub fn metrics(mut self, record: bool) -> Encoder {
         self.metrics = record;
         self
@@ -783,7 +807,9 @@ fn attr_seeds<R: Rng + ?Sized>(rng: &mut R, num_attrs: usize) -> Vec<u64> {
 }
 
 /// Encodes one attribute from its own seeded stream and applies the
-/// transform to the attribute's column.
+/// transform to the attribute's column through the batched
+/// [`CompiledTransform`] engine (bit-identical to mapping
+/// [`PiecewiseTransform::encode`] over the column).
 fn encode_attribute_seeded(
     seed: u64,
     d: &Dataset,
@@ -793,9 +819,11 @@ fn encode_attribute_seeded(
 ) -> Result<(PiecewiseTransform, Vec<f64>), PpdtError> {
     let mut rng = StdRng::seed_from_u64(seed);
     let tr = draw_attribute_transform(&mut rng, d, a, config, policy)?;
-    let col: Result<Vec<f64>, PpdtError> =
-        d.column(a).iter().map(|&x| tr.encode(x).map_err(|e| e.with_attr(a.index()))).collect();
-    Ok((tr, col?))
+    let mut col = Vec::with_capacity(d.num_rows());
+    CompiledTransform::lower(&tr)
+        .encode_slice(d.column(a), &mut col)
+        .map_err(|e| e.with_attr(a.index()))?;
+    Ok((tr, col))
 }
 
 /// Builds the piecewise transform of one attribute.
@@ -816,8 +844,8 @@ pub(crate) fn draw_attribute_transform<R: Rng + ?Sized>(
     policy: RetryPolicy,
 ) -> Result<PiecewiseTransform, PpdtError> {
     policy.validate()?;
-    let sc = d.sorted_column(a);
-    if sc.num_distinct() == 0 {
+    let domain = d.domain_labels(a);
+    if domain.is_empty() {
         return Err(PpdtError::EmptyInput { what: format!("attribute {a}") });
     }
     let mut reasons: Vec<String> = Vec::new();
@@ -825,9 +853,9 @@ pub(crate) fn draw_attribute_transform<R: Rng + ?Sized>(
         if attempt > 0 {
             ppdt_obs::add(ppdt_obs::Counter::DrawRetries, 1);
         }
-        let plan = plan_pieces(rng, &sc, config.strategy);
+        let plan = plan_pieces(rng, domain, config.strategy);
         let increasing = !rng.gen_bool(config.anti_monotone_prob);
-        let tr = build_transform(rng, &sc, &plan, increasing, config);
+        let tr = build_transform(rng, domain.values(), &plan, increasing, config);
         match tr.validate() {
             Ok(()) => {
                 ppdt_obs::add(ppdt_obs::Counter::PiecesDrawn, tr.pieces.len() as u64);
@@ -840,8 +868,8 @@ pub(crate) fn draw_attribute_transform<R: Rng + ?Sized>(
         // Conservative last resort: one globally monotone piece.
         let conservative =
             EncodeConfig { strategy: BreakpointStrategy::None, anti_monotone_prob: 0.0, ..*config };
-        let plan = plan_pieces(rng, &sc, conservative.strategy);
-        let tr = build_transform(rng, &sc, &plan, true, &conservative);
+        let plan = plan_pieces(rng, domain, conservative.strategy);
+        let tr = build_transform(rng, domain.values(), &plan, true, &conservative);
         match tr.validate() {
             Ok(()) => {
                 ppdt_obs::add(ppdt_obs::Counter::PiecesDrawn, tr.pieces.len() as u64);
@@ -853,7 +881,8 @@ pub(crate) fn draw_attribute_transform<R: Rng + ?Sized>(
     Err(PpdtError::DrawExhausted { attr: Some(a.index()), attempts: policy.max_attempts, reasons })
 }
 
-/// Materializes a [`PiecewiseTransform`] from a piece plan:
+/// Materializes a [`PiecewiseTransform`] from a piece plan over the
+/// attribute's ascending distinct `values`:
 /// 1. draws the overall output span (randomly scaled and shifted copy
 ///    of the input span),
 /// 2. allocates disjoint per-piece output intervals (widths
@@ -866,12 +895,11 @@ pub(crate) fn draw_attribute_transform<R: Rng + ?Sized>(
 ///    piece's interval.
 fn build_transform<R: Rng + ?Sized>(
     rng: &mut R,
-    sc: &SortedColumn,
+    values: &[f64],
     plan: &[PiecePlan],
     increasing: bool,
     config: &EncodeConfig,
 ) -> PiecewiseTransform {
-    let values: Vec<f64> = sc.groups.iter().map(|g| g.value).collect();
     let in_lo = values[0];
     let in_hi = values[values.len() - 1];
     let in_span = (in_hi - in_lo).max(1.0);
@@ -939,7 +967,7 @@ fn build_transform<R: Rng + ?Sized>(
         pieces.push(Piece { input_lo, input_hi, output_lo: out_lo, output_hi: out_hi, kind });
     }
 
-    PiecewiseTransform { pieces, increasing, orig_domain: values }
+    PiecewiseTransform { pieces, increasing, orig_domain: values.to_vec() }
 }
 
 /// Positive weights summing to 1, drawn from a binary multiplicative
@@ -1015,6 +1043,73 @@ mod tests {
         config: &EncodeConfig,
     ) -> Result<(TransformKey, Dataset), PpdtError> {
         Encoder::new(*config).encode(rng, d).map(Encoded::into_parts)
+    }
+
+    /// Per-value reference replay: every node encodes its rows one at
+    /// a time through the interpreted [`PiecewiseTransform::encode`].
+    /// The batched `decode_tree` must reproduce it, result and error.
+    fn reference_decode_tree(
+        key: &TransformKey,
+        mined: &DecisionTree,
+        policy: ThresholdPolicy,
+        d: &Dataset,
+    ) -> Result<DecisionTree, PpdtError> {
+        use ppdt_tree::Node;
+        fn rec(
+            key: &TransformKey,
+            d: &Dataset,
+            midpoint: bool,
+            n: &Node,
+            rows: Vec<u32>,
+        ) -> Result<Node, PpdtError> {
+            let Node::Split { attr, threshold, class_counts, left, right } = n else {
+                return Ok(n.clone());
+            };
+            let tr = key.transform(*attr);
+            let (mut rows_le, mut rows_gt) = (Vec::new(), Vec::new());
+            let (mut le_min, mut le_max) = (f64::INFINITY, f64::NEG_INFINITY);
+            let (mut gt_min, mut gt_max) = (f64::INFINITY, f64::NEG_INFINITY);
+            for &r in &rows {
+                let x = d.value(r as usize, *attr);
+                if tr.encode(x).map_err(|e| e.with_attr(attr.index()))? <= *threshold {
+                    (le_min, le_max) = (le_min.min(x), le_max.max(x));
+                    rows_le.push(r);
+                } else {
+                    (gt_min, gt_max) = (gt_min.min(x), gt_max.max(x));
+                    rows_gt.push(r);
+                }
+            }
+            if rows_le.is_empty() || rows_gt.is_empty() {
+                return Err(PpdtError::TreeIncompatible {
+                    detail: format!(
+                        "split `attr {attr} ≤ {threshold}` leaves an empty side when \
+                         replayed on the original data"
+                    ),
+                });
+            }
+            let left_d = rec(key, d, midpoint, left, rows_le)?;
+            let right_d = rec(key, d, midpoint, right, rows_gt)?;
+            let (t, l, r) = if le_max < gt_min {
+                (if midpoint { 0.5 * (le_max + gt_min) } else { le_max }, left_d, right_d)
+            } else {
+                (if midpoint { 0.5 * (gt_max + le_min) } else { gt_max }, right_d, left_d)
+            };
+            Ok(Node::Split {
+                attr: *attr,
+                threshold: t,
+                class_counts: class_counts.clone(),
+                left: Box::new(l),
+                right: Box::new(r),
+            })
+        }
+        key.check_tree(mined)?;
+        let midpoint = matches!(policy, ThresholdPolicy::Midpoint);
+        let rows = (0..d.num_rows() as u32).collect();
+        Ok(DecisionTree {
+            root: rec(key, d, midpoint, &mined.root, rows)?,
+            num_classes: mined.num_classes,
+            criterion: mined.criterion,
+        })
     }
 
     fn all_strategies() -> Vec<BreakpointStrategy> {
@@ -1376,5 +1471,88 @@ mod tests {
         let s =
             e.key.decode_tree(&builder.fit(&e.dataset), ThresholdPolicy::DataValue, &d).unwrap();
         assert!(ppdt_tree::trees_equal(&s, &builder.fit(&d)));
+    }
+
+    #[test]
+    fn decode_tree_matches_per_value_reference() {
+        // Anti-monotone and mixed directions, permutation pieces from
+        // small value ranges, every strategy, both threshold policies.
+        let mut rng = StdRng::seed_from_u64(60);
+        let (mut saw_perm, mut saw_anti) = (false, false);
+        for trial in 0..24 {
+            let cfg = RandomDatasetConfig {
+                num_rows: 120 + 40 * (trial % 4),
+                num_attrs: 3,
+                num_classes: 2 + trial % 2,
+                value_range: 8 + 6 * (trial as u64 % 5),
+            };
+            let d = random_dataset(&mut rng, &cfg);
+            let strategy = match trial % 3 {
+                0 => BreakpointStrategy::None,
+                1 => BreakpointStrategy::ChooseBP { w: 5 },
+                _ => BreakpointStrategy::ChooseMaxMP { w: 6, min_piece_len: 1 },
+            };
+            let anti = [1.0, 0.5][trial % 2];
+            let config = EncodeConfig { strategy, anti_monotone_prob: anti, ..Default::default() };
+            let (key, d2) = enc(&mut rng, &d, &config).unwrap();
+            saw_anti |= key.transforms.iter().any(|t| !t.increasing);
+            saw_perm |= key
+                .transforms
+                .iter()
+                .flat_map(|t| &t.pieces)
+                .any(|p| matches!(p.kind, PieceKind::Permutation { .. }));
+            for policy in [ThresholdPolicy::DataValue, ThresholdPolicy::Midpoint] {
+                let params = TreeParams { threshold_policy: policy, ..Default::default() };
+                let mined = TreeBuilder::new(params).fit(&d2);
+                let got = key.decode_tree(&mined, policy, &d).unwrap();
+                let want = reference_decode_tree(&key, &mined, policy, &d).unwrap();
+                assert_eq!(got, want, "trial {trial} {strategy:?} anti {anti} {policy:?}");
+            }
+        }
+        assert!(
+            saw_perm && saw_anti,
+            "fixture must cover permutation pieces and anti-monotone keys"
+        );
+    }
+
+    #[test]
+    fn decode_tree_errors_match_per_value_reference() {
+        use ppdt_tree::Node;
+        let mut rng = StdRng::seed_from_u64(61);
+        let cfg =
+            RandomDatasetConfig { num_rows: 200, num_attrs: 3, num_classes: 2, value_range: 12 };
+        let d = random_dataset(&mut rng, &cfg);
+        let config = EncodeConfig {
+            strategy: BreakpointStrategy::ChooseMaxMP { w: 4, min_piece_len: 1 },
+            anti_monotone_prob: 0.5,
+            ..Default::default()
+        };
+        let (key, d2) = enc(&mut rng, &d, &config).unwrap();
+        let mined = TreeBuilder::default().fit(&d2);
+        let Node::Split { attr, .. } = mined.root else { panic!("fixture must split") };
+        let both = |tree: &DecisionTree, data: &Dataset| {
+            let got = key.decode_tree(tree, ThresholdPolicy::DataValue, data);
+            let want = reference_decode_tree(&key, tree, ThresholdPolicy::DataValue, data);
+            assert_eq!(got, want);
+            got.unwrap_err()
+        };
+
+        // Tampered tree: a root threshold above every code empties `>`.
+        let mut bad = mined.clone();
+        if let Node::Split { threshold, .. } = &mut bad.root {
+            *threshold = 1e300;
+        }
+        assert!(matches!(both(&bad, &d), PpdtError::TreeIncompatible { .. }));
+
+        // A value of `d` the key does not cover, placed mid-column in
+        // the root's split attribute: same variant, attribute and value.
+        let mut col = d.column(attr).to_vec();
+        col[d.num_rows() / 2] = 1e9;
+        let err = both(&mined, &d.with_column(attr, col));
+        assert!(
+            matches!(err, PpdtError::DomainViolation { attr: Some(a), value, .. }
+                if a == attr.index() && value == 1e9),
+            "{err:?}"
+        );
     }
 }
